@@ -1,5 +1,5 @@
 //! Campaign scaling: the same fixed workload run in-process (thread
-//! workers) and across coordinator/worker *processes*, at 1 and 4
+//! workers) and across coordinator/worker *processes*, at 1, 2 and 4
 //! workers each.
 //!
 //! Honesty rules for the recorded baseline (`BENCH_campaign.json`):
@@ -17,7 +17,7 @@ use std::path::Path;
 
 fn workload() -> CampaignConfig {
     CampaignConfig {
-        execs_per_target: 400,
+        execs_per_target: 4_000,
         shards_per_target: 4,
         target_filter: Some(
             ["tcpdump", "MuJS", "openssl", "php"]
@@ -55,24 +55,29 @@ fn row(name: &str, workers: usize, mode: &str) -> Json {
 fn main() {
     let mut g = BenchGroup::new("campaign");
     g.sample_size(5);
-    g.bench("threads_1", || campaign::run(&threads(1)).unwrap());
-    g.bench("threads_4", || campaign::run(&threads(4)).unwrap());
-    let mut rows = vec![
-        row("threads_1", 1, "threads"),
-        row("threads_4", 4, "threads"),
-    ];
+    let mut rows = Vec::new();
+    for n in [1, 2, 4] {
+        g.bench(&format!("threads_{n}"), || {
+            campaign::run(&threads(n)).unwrap()
+        });
+        rows.push(row(&format!("threads_{n}"), n, "threads"));
+    }
 
     // The multi-process rows need the `compdiff` binary on disk (it is
     // the worker executable); probe via the same resolution chain the
     // coordinator uses and skip honestly when it is absent.
     let worker_exe = campaign::resolve_worker_exe(&workload());
-    let procs_pair = match &worker_exe {
+    let procs_medians = match &worker_exe {
         Ok(exe) => {
-            let one = g.bench("procs_1", || campaign::run(&procs(1, exe)).unwrap());
-            let four = g.bench("procs_4", || campaign::run(&procs(4, exe)).unwrap());
-            rows.push(row("procs_1", 1, "processes"));
-            rows.push(row("procs_4", 4, "processes"));
-            Some((one, four))
+            let medians = [1, 2, 4].map(|n| {
+                rows.push(row(&format!("procs_{n}"), n, "processes"));
+                g.bench(&format!("procs_{n}"), || {
+                    campaign::run(&procs(n, exe)).unwrap()
+                })
+                .median
+                .as_secs_f64()
+            });
+            Some(medians)
         }
         Err(e) => {
             println!("campaign/procs_*: skipped ({e}); build the compdiff binary first");
@@ -88,12 +93,17 @@ fn main() {
         ("hardware_threads", Json::Int(cores as i64)),
         ("rows", Json::Array(rows)),
     ];
-    // The headline speedup is the *process* scaling path — measuring it
-    // on fewer hardware threads than workers would time contention, not
-    // scaling, so it is refused outright rather than recorded.
-    match procs_pair {
-        Some((ref one, ref four)) if cores >= 4 => {
-            let speedup = one.median.as_secs_f64() / four.median.as_secs_f64();
+    // The headline speedups are the *process* scaling path — measuring
+    // one on fewer hardware threads than workers would time contention,
+    // not scaling, so it is refused outright rather than recorded.
+    if let Some([one, two, _]) = procs_medians.filter(|_| cores >= 2) {
+        let speedup = one / two;
+        println!("campaign 2-process speedup: {speedup:.2}x on {cores} hardware threads");
+        extra.push(("speedup_2_workers", Json::Float(speedup)));
+    }
+    match procs_medians {
+        Some([one, _, four]) if cores >= 4 => {
+            let speedup = one / four;
             println!("campaign 4-process speedup: {speedup:.2}x on {cores} hardware threads");
             extra.push(("speedup_4_workers", Json::Float(speedup)));
             write_json("BENCH_campaign.json", &results, extra);

@@ -1,10 +1,13 @@
 //! Fuzzer throughput: plain AFL++ loop vs CompDiff-AFL++ (the oracle's
-//! k-executions cost — the other face of the §5 overhead claim).
+//! k-executions cost — the other face of the §5 overhead claim), beside
+//! the micro row for the per-exec coverage bookkeeping both loops pay.
+//! Results go to `BENCH_fuzzer.json` when `COMPDIFF_BENCH_JSON_DIR` is set.
 
 use compdiff::{CompDiffAfl, DiffConfig};
-use compdiff_bench::harness::BenchGroup;
-use fuzzing::{BinaryTarget, FuzzConfig, Fuzzer, NoOracle};
+use compdiff_bench::harness::{write_json, BenchGroup};
+use fuzzing::{BinaryTarget, CoverageMap, FuzzConfig, Fuzzer, GlobalCoverage, NoOracle};
 use minc_compile::{compile_source, CompilerImpl};
+use minc_vm::hooks::Loc;
 use minc_vm::VmConfig;
 
 const SRC: &str = r#"
@@ -22,6 +25,22 @@ const SRC: &str = r#"
 fn main() {
     let mut g = BenchGroup::new("fuzzer");
     g.sample_size(10);
+    // One exec's coverage bookkeeping on a catalog-sized path: reset,
+    // record 40 edges, count and merge.
+    let mut map = CoverageMap::new();
+    let mut global = GlobalCoverage::new();
+    let loc = |block| Loc {
+        func: 0,
+        block,
+        inst: 0,
+    };
+    g.bench("coverage_exec_cycle", || {
+        map.reset();
+        for b in 0..40 {
+            map.record(loc(b), loc(b + 1));
+        }
+        (map.count_edges(), global.merge(&map))
+    });
     let bin = compile_source(SRC, CompilerImpl::parse("clang-O1").unwrap()).unwrap();
     g.bench("plain_afl_2000_execs", || {
         let target = BinaryTarget::new(&bin, VmConfig::default());
@@ -45,5 +64,5 @@ fn main() {
         .unwrap();
         afl.run(&[b"seed".to_vec()])
     });
-    g.finish();
+    write_json("BENCH_fuzzer.json", &g.finish(), Vec::new());
 }

@@ -44,7 +44,7 @@ pub mod cache;
 mod coordinator;
 pub mod faults;
 pub mod policy;
-pub(crate) mod proto;
+pub mod proto;
 pub mod scheduler;
 pub mod state;
 pub mod stats;

@@ -26,8 +26,15 @@ use crate::{CampaignConfig, FailureKind, JobRecord};
 use compdiff::Json;
 use minc_compile::CompilerImpl;
 use minc_vm::{SessionStats, VmMode};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 use targets::{Target, TargetSpec};
+
+/// The longest frame [`read_frame`] accepts, newline included. The
+/// largest legitimate frame is `config`, which carries every target's
+/// source: 192 generated programs render to about 150 KiB, so 16 MiB
+/// leaves a hundredfold margin while capping what one peer can make the
+/// coordinator buffer.
+pub const MAX_FRAME_BYTES: u64 = 16 << 20;
 
 /// Writes one frame: compact JSON, newline, flush.
 pub(crate) fn write_frame(w: &mut impl Write, v: &Json) -> std::io::Result<()> {
@@ -36,14 +43,26 @@ pub(crate) fn write_frame(w: &mut impl Write, v: &Json) -> std::io::Result<()> {
 }
 
 /// Reads one frame; `Ok(None)` is a clean EOF (peer closed).
-pub(crate) fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<Json>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+///
+/// # Errors
+///
+/// I/O errors pass through. A frame longer than [`MAX_FRAME_BYTES`]
+/// (read no further than the cap), one that is not UTF-8, and one that
+/// is not JSON are [`ErrorKind::InvalidData`].
+pub fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<Json>> {
+    let invalid = |msg: String| std::io::Error::new(ErrorKind::InvalidData, msg);
+    let mut line = Vec::new();
+    let n = r.take(MAX_FRAME_BYTES).read_until(b'\n', &mut line)?;
+    if n == 0 {
         return Ok(None);
     }
+    if n as u64 == MAX_FRAME_BYTES && line.last() != Some(&b'\n') {
+        return Err(invalid(format!("frame exceeds {MAX_FRAME_BYTES} bytes")));
+    }
+    let line = std::str::from_utf8(&line).map_err(|e| invalid(e.to_string()))?;
     Json::parse(line.trim_end())
         .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        .map_err(|e| invalid(e.to_string()))
 }
 
 /// The frame's `"t"` tag.
@@ -339,6 +358,31 @@ mod tests {
         let second = read_frame(&mut r).unwrap().unwrap();
         assert_eq!(frame_type(&second), Some("ack"));
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn progen_config_frame_fits_under_the_cap() {
+        // The largest legitimate frame: a config carrying 192 generated
+        // programs, the size of the progen benchmark campaign.
+        let targets: Vec<Target> = (0..192)
+            .map(|i| {
+                let mut rng = fuzzing::Rng::new(progen::mix(1, i));
+                let src = progen::generate(&mut rng).source();
+                targets::target_from_source(&format!("progen_{i:03}"), &src).unwrap()
+            })
+            .collect();
+        let frame = config_frame(&CampaignConfig::default(), &targets);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &frame).unwrap();
+        assert!(
+            (buf.len() as u64) * 8 < MAX_FRAME_BYTES,
+            "a {}-byte config leaves under 8x headroom",
+            buf.len()
+        );
+        let got = read_frame(&mut buf.as_slice()).unwrap().unwrap();
+        let (_, got_targets) = parse_config(&got).unwrap();
+        assert_eq!(got_targets.len(), 192);
+        assert_eq!(got_targets[191].src, targets[191].src);
     }
 
     #[test]

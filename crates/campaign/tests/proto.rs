@@ -381,3 +381,101 @@ fn status_endpoint_reports_progress() {
     assert_eq!(report.stats.jobs_done, 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// An endless line with no newline, counting the bytes handed out.
+struct Endless {
+    served: u64,
+}
+
+impl std::io::Read for Endless {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        buf.fill(b'x');
+        self.served += buf.len() as u64;
+        Ok(buf.len())
+    }
+}
+
+/// A frame longer than the cap is a typed `InvalidData` error, and the
+/// reader stops at the cap instead of buffering the whole line.
+#[test]
+fn over_cap_frame_is_rejected_at_the_cap() {
+    use campaign::proto::{read_frame, MAX_FRAME_BYTES};
+    let mut r = std::io::BufReader::new(Endless { served: 0 });
+    let err = read_frame(&mut r).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let served = r.get_ref().served;
+    assert!(
+        served <= MAX_FRAME_BYTES + r.capacity() as u64,
+        "read {served} bytes for a {MAX_FRAME_BYTES}-byte cap"
+    );
+
+    // A frame just under the cap still parses.
+    let mut line = vec![b'"'];
+    line.resize(MAX_FRAME_BYTES as usize - 2, b'y');
+    line.extend_from_slice(b"\"\n");
+    let got = read_frame(&mut line.as_slice()).unwrap().unwrap();
+    assert_eq!(
+        got.as_str().map(str::len),
+        Some(MAX_FRAME_BYTES as usize - 3)
+    );
+}
+
+/// A live coordinator drops a connection that sends an over-cap frame
+/// and carries on: the status endpoint still answers and the campaign
+/// completes.
+#[test]
+fn coordinator_drops_over_cap_connection() {
+    use std::io::{Read, Write};
+    let dir = temp_dir("frame-cap");
+    let addr_file = dir.join("status.addr");
+    let cfg = CampaignConfig {
+        workers_proc: Some(1),
+        worker_exe: worker_exe(),
+        execs_per_target: 150_000,
+        shards_per_target: 2,
+        seed: 11,
+        target_filter: Some(vec!["tcpdump".to_string()]),
+        status_addr_out: Some(addr_file.clone()),
+        ..Default::default()
+    };
+    let campaign_thread = std::thread::spawn(move || campaign::run(&cfg).unwrap());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let addr = loop {
+        if let Ok(s) = std::fs::read_to_string(&addr_file) {
+            let s = s.trim().to_string();
+            if !s.is_empty() {
+                break s;
+            }
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "status address file never appeared"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+
+    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    // The coordinator stops reading at the cap and closes, so the tail of
+    // this write may fail with a reset; either way the line is over cap.
+    let junk = vec![b'x'; campaign::proto::MAX_FRAME_BYTES as usize + 1];
+    let _ = conn.write_all(&junk);
+    let mut byte = [0u8; 1];
+    match conn.read(&mut byte) {
+        Ok(n) => assert_eq!(n, 0, "coordinator replied to an over-cap frame"),
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "coordinator kept the connection open"
+        ),
+    }
+
+    let status = campaign::query_status(&addr).unwrap();
+    assert_eq!(status.get("t").and_then(Json::as_str), Some("status"));
+    let report = campaign_thread.join().unwrap();
+    assert_eq!(report.stats.jobs_done, 2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -3,6 +3,10 @@
 //! A 64 KiB byte map indexed by the hash of (previous block, current
 //! block); hit counts are bucketed into AFL's eight classes before novelty
 //! comparison, exactly like AFL++'s `classify_counts` + `has_new_bits`.
+//!
+//! The map also lists the slots an execution touched, so reset, edge
+//! count and merge cost O(distinct edges hit) rather than a scan of all
+//! `MAP_SIZE` bytes: catalog targets touch tens of slots per execution.
 
 use minc_compile::ir::{BinKind, IrType};
 use minc_vm::hooks::{FreeDisposition, Hooks, Loc, PoisonUse};
@@ -15,6 +19,10 @@ pub const MAP_SIZE: usize = 1 << 16;
 #[derive(Clone)]
 pub struct CoverageMap {
     map: Box<[u8; MAP_SIZE]>,
+    /// Every nonzero slot, in first-hit order. A slot is listed when
+    /// `record` moves it from 0 to 1; counts saturate, so it stays
+    /// nonzero (and listed once) until `reset`.
+    touched: Vec<u32>,
 }
 
 impl std::fmt::Debug for CoverageMap {
@@ -34,12 +42,16 @@ impl CoverageMap {
     pub fn new() -> Self {
         CoverageMap {
             map: Box::new([0u8; MAP_SIZE]),
+            touched: Vec::new(),
         }
     }
 
     /// Zeroes the map for the next execution.
     pub fn reset(&mut self) {
-        self.map.fill(0);
+        for &i in &self.touched {
+            self.map[i as usize] = 0;
+        }
+        self.touched.clear();
     }
 
     fn edge_index(from: Loc, to: Loc) -> usize {
@@ -55,7 +67,11 @@ impl CoverageMap {
     /// Records one edge.
     pub fn record(&mut self, from: Loc, to: Loc) {
         let idx = Self::edge_index(from, to);
-        self.map[idx] = self.map[idx].saturating_add(1);
+        let slot = &mut self.map[idx];
+        if *slot == 0 {
+            self.touched.push(idx as u32);
+        }
+        *slot = slot.saturating_add(1);
     }
 
     /// AFL's hit-count bucketing: 0,1,2,3,4-7,8-15,16-31,32-127,128+.
@@ -75,16 +91,18 @@ impl CoverageMap {
 
     /// Number of distinct edges hit.
     pub fn count_edges(&self) -> usize {
-        self.map.iter().filter(|&&b| b != 0).count()
+        self.touched.len()
     }
 
-    /// Iterates (index, bucketed count) of hit edges.
+    /// Iterates (index, bucketed count) of hit edges in ascending index
+    /// order.
     pub fn buckets(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
-        self.map
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b != 0)
-            .map(|(i, &b)| (i, Self::classify(b)))
+        let mut order = self.touched.clone();
+        order.sort_unstable();
+        order.into_iter().map(|i| {
+            let i = i as usize;
+            (i, Self::classify(self.map[i]))
+        })
     }
 }
 
@@ -118,9 +136,12 @@ impl GlobalCoverage {
     /// any new bucketed bit (AFL's "interesting" criterion).
     pub fn merge(&mut self, exec: &CoverageMap) -> bool {
         let mut new = false;
-        for (i, bucket) in exec.buckets() {
-            if self.virgin[i] & bucket != bucket {
-                self.virgin[i] |= bucket;
+        for &i in &exec.touched {
+            let i = i as usize;
+            let bucket = CoverageMap::classify(exec.map[i]);
+            let virgin = &mut self.virgin[i];
+            if *virgin & bucket != bucket {
+                *virgin |= bucket;
                 new = true;
             }
         }

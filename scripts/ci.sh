@@ -14,6 +14,15 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace
 
+echo "== perfbench build + catalog_campaign smoke =="
+# perfbench is its own package calling the workspace crates' public API,
+# so a breaking API change fails here rather than in a benchmark run. The
+# one-second run must pass its correctness gate (rounds agree, replay
+# matches, every witness re-diverges on the interpreter) and exit 0.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload catalog_campaign --seed 1 --seconds 1 --trace 0 > /dev/null
+
 echo "== cargo test -q --offline =="
 cargo test -q --offline --workspace
 
