@@ -12,7 +12,7 @@
 //! compdiff sancheck prog.mc [--json] # sanitizer meta-oracle (validate the sanitizers)
 //! compdiff sancheck --all            #   ... over the whole target catalog
 //! compdiff campaign [--workers N] [--execs-per-target N] [--resume DIR]
-//! compdiff campaign --workers-proc N  # coordinator over N worker processes
+//! compdiff campaign --workers-proc N  # the same, over N worker processes
 //! compdiff campaign-worker --connect HOST:PORT   # one worker process
 //! compdiff campaign-status --connect HOST:PORT   # live campaign status
 //! compdiff progen generate|evolve|reduce   # evolutionary program generation
@@ -121,8 +121,8 @@ USAGE:
       --sancheck             post-fuzz sanitizer audit over every selected
                              target (publishes sancheck.* metrics)
       --vm-mode <m>          execution backend: interp|block (default block)
-      --workers-proc <n>     run as a coordinator over n worker *processes*
-                             (JSONL socket protocol; scales past one core)
+      --workers-proc <n>     run the n workers as *processes* instead of
+                             threads (JSONL socket protocol; same results)
       --status-addr-out <p>  write the live status endpoint's host:port to <p>
   compdiff campaign-worker --connect <host:port>
                                          one worker process (spawned by the

@@ -1,37 +1,46 @@
-//! The coordinator side of the multi-process campaign (DESIGN.md §17).
+//! The campaign's one scheduler (DESIGN.md §8, §17).
 //!
-//! [`run_procs`] owns everything a campaign must have exactly one of:
-//! the shard queues and lease table, the checkpoint writer, the
+//! [`run`] owns everything a campaign must have exactly one of: the
+//! shard queues and lease table, the checkpoint writer, the
 //! campaign-wide signature dedup (via the shared [`ResultHandler`]), and
 //! the metric registry the status endpoint and final snapshot read.
-//! Worker *processes* own nothing durable — they connect over a local
-//! TCP socket, receive the campaign config, and trade
-//! `lease_req`/`lease`/`done`/`failed` frames until the coordinator
-//! broadcasts `shutdown`.
+//! Workers own nothing durable. Every worker runs [`worker::serve`] and
+//! trades the same [`crate::proto`] frames with one event loop, over one
+//! of two transports:
+//!
+//! - **threads** (`workers`): scoped threads in this process, frames
+//!   passed as values over `mpsc`, sharing the campaign's
+//!   [`BinaryCache`], telemetry and fault plan by reference;
+//! - **processes** (`workers_proc`): `compdiff campaign-worker`
+//!   children, frames as JSON lines over a loopback TCP socket, each
+//!   with its own cache and registry, whose snapshots are merged at the
+//!   end.
 //!
 //! Determinism: shards are *partitioned* round-robin across the `n`
 //! logical worker indexes (no stealing), each job's RNG seed depends
-//! only on `(campaign seed, target, shard)`, retries re-queue at the
-//! same [`retry_backoff`] position the in-process pool uses, and events
-//! are buffered and re-sorted into canonical [`crate::EventKey`] order
-//! before they hit the recorder. A clean 1-worker-process campaign is
-//! therefore byte-identical — report and metrics stream — to the
-//! in-process `workers = 1` run, and any clean N-process campaign is
-//! byte-identical to itself across runs.
+//! only on `(campaign seed, target, shard)`, retries re-queue at a
+//! [`retry_backoff`] position, and events are buffered and re-sorted
+//! into canonical [`crate::EventKey`] order before they hit the
+//! recorder. A clean N-worker campaign is therefore byte-identical —
+//! report and metrics stream — across runs and across transports.
 //!
-//! Fault tolerance: a worker that dies or drops its connection
-//! mid-lease surfaces as EOF on its socket; the coordinator reclaims
-//! the lease as a [`FailureKind::Lost`] attempt (feeding the ordinary
-//! retry/quarantine policy) and respawns a replacement process while
-//! its shard queue is non-empty. A worker that hangs without renewing
-//! is reclaimed the same way after `lease_timeout_ms`.
+//! Fault tolerance: a worker that dies or whose channel is severed
+//! mid-lease surfaces as `Gone` (EOF on its socket, or the thread's
+//! exit); the coordinator reclaims the lease as a [`FailureKind::Lost`]
+//! attempt (feeding the ordinary retry/quarantine policy) and starts a
+//! replacement worker while its shard queue is non-empty. A worker that
+//! stops renewing is reclaimed the same way after [`LEASE_TIMEOUT`].
+//! Only the connection holding a lease may renew or resolve it; any
+//! other sender is severed.
 
+use crate::cache::BinaryCache;
 use crate::proto::{
     config_frame, frame_type, lease_frame, read_frame, tagged, vm_from_json, write_frame,
 };
 use crate::scheduler::{retry_backoff, Decision, Job, JobFailure, JobOutput, JobResult};
 use crate::state::{FailureKind, JobRecord};
 use crate::telem::CampaignTelemetry;
+use crate::worker::{self, WorkerEnv};
 use crate::{
     build_telemetry, prepare, CampaignConfig, CampaignError, CampaignReport, Prepared,
     ResultHandler,
@@ -44,6 +53,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use targets::Target;
 use telemetry::{MetricRegistry, Telemetry};
@@ -52,14 +62,18 @@ use telemetry::{MetricRegistry, Telemetry};
 /// child reaping run at this cadence.
 const TICK: Duration = Duration::from_millis(200);
 
-/// Replacement processes granted beyond the initial `n` before the
-/// coordinator gives up (a crash-looping worker binary would otherwise
-/// respawn forever).
+/// How long a lease survives without a renewal before it is reclaimed.
+/// Workers renew every 500 ms, so only a hung worker gets here.
+const LEASE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Replacement workers granted beyond the initial `n` before the
+/// coordinator gives up (a crash-looping worker would otherwise respawn
+/// forever).
 const RESPAWN_SLACK: usize = 256;
 
 /// The lost-lease failure message for a closed connection (worker death
-/// or injected drop — indistinguishable at the socket, by design).
-const MSG_CONN_LOST: &str = "worker process lost mid-lease (connection closed)";
+/// or injected drop — indistinguishable to the coordinator, by design).
+const MSG_CONN_LOST: &str = "worker lost mid-lease (connection closed)";
 
 /// Locates the worker executable the coordinator spawns: the config's
 /// `worker_exe` if set, else `$COMPDIFF_WORKER_EXE`, else the running
@@ -101,20 +115,19 @@ pub fn resolve_worker_exe(cfg: &CampaignConfig) -> Result<PathBuf, CampaignError
     ))
 }
 
-/// What the socket threads deliver to the single-threaded main loop.
+/// What the transports deliver to the single-threaded main loop.
 enum Ev {
     /// A worker process said hello; `out` feeds its writer thread and
-    /// `sever` is a handle the coordinator can `shutdown()` to force the
-    /// connection closed (dropping the writer alone does not EOF the
-    /// worker while other clones of the socket live).
+    /// `sock` is a handle the coordinator can `shutdown()` to force the
+    /// connection closed.
     Hello {
         conn: u64,
         out: mpsc::Sender<Json>,
-        sever: Option<TcpStream>,
+        sock: TcpStream,
     },
-    /// One frame from a connected worker.
+    /// One frame from a worker.
     Frame { conn: u64, frame: Json },
-    /// The worker's connection closed (clean bye or mid-lease death).
+    /// The worker is gone: its socket closed or its thread returned.
     Gone { conn: u64 },
     /// A status client wants the live progress object.
     Status { reply: mpsc::Sender<Json> },
@@ -122,12 +135,12 @@ enum Ev {
 
 /// Per-connection coordinator state.
 struct ConnState {
-    /// The logical worker index (deque) this process serves.
+    /// The logical worker index (deque) this worker serves.
     widx: usize,
-    /// Frames to the writer thread.
-    out: mpsc::Sender<Json>,
-    /// A socket handle for forcing the connection closed.
-    sever: Option<TcpStream>,
+    /// Frames to the worker; `None` once severed.
+    out: Option<mpsc::Sender<Json>>,
+    /// The socket of a worker process, for forcing it closed.
+    sock: Option<TcpStream>,
     /// The lease this worker currently holds, if any.
     lease: Option<u64>,
     /// True if the worker asked for a lease while its deque was empty —
@@ -140,6 +153,22 @@ struct LeaseInfo {
     job: Job,
     conn: u64,
     last_renew: Instant,
+}
+
+/// How the coordinator starts workers.
+enum Spawner {
+    /// Worker threads. New ones wait in `queued` until the event loop,
+    /// which owns the thread scope, starts them.
+    Threads {
+        ev_tx: mpsc::Sender<Ev>,
+        queued: Vec<(u64, mpsc::Receiver<Json>)>,
+    },
+    /// Worker processes, which connect back to `addr`.
+    Procs {
+        exe: PathBuf,
+        addr: String,
+        children: Vec<Child>,
+    },
 }
 
 /// Reads one frame, forwards the stream to the main loop, and (for
@@ -165,7 +194,9 @@ fn serve_conn(stream: TcpStream, id: u64, ev_tx: &mpsc::Sender<Ev>) {
             }
         }
         Some("hello") => {
-            let sever = stream.try_clone().ok();
+            let Ok(sock) = stream.try_clone() else {
+                return;
+            };
             let (out_tx, out_rx) = mpsc::channel::<Json>();
             let writer = std::thread::spawn(move || {
                 let mut w = BufWriter::new(stream);
@@ -179,7 +210,7 @@ fn serve_conn(stream: TcpStream, id: u64, ev_tx: &mpsc::Sender<Ev>) {
                 .send(Ev::Hello {
                     conn: id,
                     out: out_tx,
-                    sever,
+                    sock,
                 })
                 .is_err()
             {
@@ -197,6 +228,83 @@ fn serve_conn(stream: TcpStream, id: u64, ev_tx: &mpsc::Sender<Ev>) {
     }
 }
 
+/// The loopback listener worker processes and status clients connect
+/// to, with its accept thread.
+struct Listener {
+    addr: String,
+    stop: Arc<AtomicBool>,
+    accept: JoinHandle<()>,
+}
+
+impl Listener {
+    fn bind(cfg: &CampaignConfig, ev_tx: &mpsc::Sender<Ev>) -> Result<Listener, CampaignError> {
+        let listener = TcpListener::bind("127.0.0.1:0")
+            .map_err(|e| CampaignError::Proto(format!("cannot bind coordinator socket: {e}")))?;
+        let addr = listener
+            .local_addr()
+            .map_err(|e| CampaignError::Proto(format!("cannot read coordinator address: {e}")))?
+            .to_string();
+        if let Some(path) = &cfg.status_addr_out {
+            std::fs::write(path, format!("{addr}\n")).map_err(|e| {
+                CampaignError::Proto(format!("cannot write status address file: {e}"))
+            })?;
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept = {
+            let ev_tx = ev_tx.clone();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut next_id: u64 = 0;
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    next_id += 1;
+                    let id = next_id;
+                    let ev_tx = ev_tx.clone();
+                    std::thread::spawn(move || serve_conn(stream, id, &ev_tx));
+                }
+            })
+        };
+        Ok(Listener { addr, stop, accept })
+    }
+
+    /// Stops accepting; the dummy connection unblocks the blocking
+    /// accept.
+    fn close(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(&self.addr);
+        let _ = self.accept.join();
+    }
+}
+
+/// Runs one worker thread: [`worker::serve`] over `mpsc`, then `Gone`.
+fn thread_worker(
+    conn: u64,
+    rx: mpsc::Receiver<Json>,
+    ev_tx: mpsc::Sender<Ev>,
+    env: &WorkerEnv<'_>,
+) {
+    /// Reports the worker gone however it ends, a panic included, so the
+    /// coordinator never waits on a dead thread.
+    struct Gone<'a>(&'a mpsc::Sender<Ev>, u64);
+    impl Drop for Gone<'_> {
+        fn drop(&mut self) {
+            let _ = self.0.send(Ev::Gone { conn: self.1 });
+        }
+    }
+    let _gone = Gone(&ev_tx, conn);
+    let send = |frame: Json| {
+        ev_tx
+            .send(Ev::Frame { conn, frame })
+            .map_err(|_| "coordinator gone".to_string())
+    };
+    // A thread that dies (`die@`) just returns; its `Gone` reclaims the
+    // lease exactly as a dead process's EOF does.
+    let _ = worker::serve(env, &send, || Ok(rx.recv().ok()));
+}
+
 /// The single-threaded campaign brain: every field that must exist
 /// exactly once, mutated only from the event loop.
 struct Coordinator<'a> {
@@ -205,7 +313,7 @@ struct Coordinator<'a> {
     ctel: &'a CampaignTelemetry,
     selected: &'a [Target],
     handler: ResultHandler<'a>,
-    /// Logical worker indexes (deque count) — *not* live process count.
+    /// Logical worker indexes (deque count) — *not* live worker count.
     n: usize,
     /// Per-index shard queues; index `i` gets jobs `i, i+n, i+2n, ...`.
     deques: Vec<VecDeque<Job>>,
@@ -220,19 +328,18 @@ struct Coordinator<'a> {
     swept: Vec<Job>,
     stopping: bool,
     finishing: bool,
-    children: Vec<Child>,
-    /// Total processes ever spawned (respawn-cap accounting).
+    spawner: Spawner,
+    /// Total workers ever started (respawn-cap accounting).
     spawned: usize,
     /// Processes spawned but not yet hello'd.
     pending_spawns: usize,
-    exe: PathBuf,
-    addr: String,
-    /// Latest metric snapshot per connection (a respawned process gets a
-    /// fresh connection id, so dead workers' final snapshots survive).
+    /// Latest metric snapshot per worker process (a respawned process
+    /// gets a fresh connection id, so dead workers' final snapshots
+    /// survive).
     worker_metrics: HashMap<u64, Json>,
-    /// Summed worker-side binary-cache (hits, misses) from bye frames.
+    /// Summed worker binary-cache (hits, misses) from `bye`.
     cache_sums: (u64, u64),
-    /// Summed worker-side cache block translations from bye frames.
+    /// Summed worker superblock counts from `bye`.
     blocks_sum: u64,
     /// First unrecoverable protocol error; aborts the event loop.
     fatal: Option<CampaignError>,
@@ -243,17 +350,19 @@ impl Coordinator<'_> {
         self.fatal.get_or_insert(e);
     }
 
-    fn ack(&self, conn: u64) {
-        if let Some(c) = self.conns.get(&conn) {
-            let _ = c.out.send(tagged("ack"));
+    fn send(&self, conn: u64, frame: Json) {
+        if let Some(out) = self.conns.get(&conn).and_then(|c| c.out.as_ref()) {
+            let _ = out.send(frame);
         }
     }
 
-    /// Forces `conn`'s socket closed. Its serve thread will deliver
-    /// `Gone` shortly after.
-    fn sever(&self, conn: u64) {
-        if let Some(c) = self.conns.get(&conn) {
-            if let Some(s) = &c.sever {
+    /// Forces `conn` closed: a thread's channel closes, a process's
+    /// socket shuts down. `Gone` follows once the worker notices.
+    fn sever(&mut self, conn: u64) {
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.out = None;
+            c.parked = false;
+            if let Some(s) = &c.sock {
                 let _ = s.shutdown(Shutdown::Both);
             }
         }
@@ -261,17 +370,41 @@ impl Coordinator<'_> {
 
     fn broadcast_shutdown(&self) {
         for c in self.conns.values() {
-            let _ = c.out.send(tagged("shutdown"));
+            if let Some(out) = &c.out {
+                let _ = out.send(tagged("shutdown"));
+            }
         }
     }
 
-    /// The free worker index most in need of a process: longest deque,
+    /// The free worker index most in need of a worker: longest deque,
     /// ties to the smallest index.
     fn pick_index(&self) -> Option<usize> {
         self.free_idx
             .iter()
             .copied()
             .max_by_key(|&i| (self.deques[i].len(), std::cmp::Reverse(i)))
+    }
+
+    /// Binds a new worker connection to the free index most in need.
+    fn register(&mut self, conn: u64, out: mpsc::Sender<Json>, sock: Option<TcpStream>) {
+        let Some(widx) = self.pick_index() else {
+            let _ = out.send(tagged("shutdown"));
+            return;
+        };
+        if sock.is_some() {
+            let _ = out.send(config_frame(self.cfg, self.selected));
+        }
+        self.free_idx.remove(&widx);
+        self.conns.insert(
+            conn,
+            ConnState {
+                widx,
+                out: Some(out),
+                sock,
+                lease: None,
+                parked: false,
+            },
+        );
     }
 
     fn spawn_worker(&mut self) -> Result<(), CampaignError> {
@@ -281,34 +414,59 @@ impl Coordinator<'_> {
                 self.spawned, self.n
             )));
         }
-        let child = Command::new(&self.exe)
-            .args(["campaign-worker", "--connect", &self.addr])
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .spawn()
-            .map_err(|e| {
-                CampaignError::Proto(format!("cannot spawn worker `{}`: {e}", self.exe.display()))
-            })?;
-        self.children.push(child);
+        let conn = self.spawned as u64 + 1;
+        let thread_tx = match &mut self.spawner {
+            Spawner::Threads { queued, .. } => {
+                let (tx, rx) = mpsc::channel();
+                queued.push((conn, rx));
+                Some(tx)
+            }
+            Spawner::Procs {
+                exe,
+                addr,
+                children,
+            } => {
+                let child = Command::new(&*exe)
+                    .args(["campaign-worker", "--connect", addr.as_str()])
+                    .stdin(Stdio::null())
+                    .stdout(Stdio::null())
+                    .spawn()
+                    .map_err(|e| {
+                        CampaignError::Proto(format!(
+                            "cannot spawn worker `{}`: {e}",
+                            exe.display()
+                        ))
+                    })?;
+                children.push(child);
+                None
+            }
+        };
         self.spawned += 1;
-        self.pending_spawns += 1;
         self.ctel.workers_spawned.inc();
+        match thread_tx {
+            // A thread needs no hello: it is bound at once.
+            Some(tx) => self.register(conn, tx, None),
+            None => self.pending_spawns += 1,
+        }
         Ok(())
     }
 
-    /// Spawns processes until every free index with queued work has one
-    /// on the way. The only respawn site, so a burst of lost leases
-    /// cannot over-spawn.
+    /// Starts workers until every free index with queued work has one on
+    /// the way. The only respawn site, so a burst of lost leases cannot
+    /// over-spawn.
     fn ensure_workers(&mut self) {
         if self.finishing || self.stopping || self.fatal.is_some() {
             return;
         }
-        let needy = self
-            .free_idx
-            .iter()
-            .filter(|&&i| !self.deques[i].is_empty())
-            .count();
-        while self.pending_spawns < needy {
+        loop {
+            let needy = self
+                .free_idx
+                .iter()
+                .filter(|&&i| !self.deques[i].is_empty())
+                .count();
+            if self.pending_spawns >= needy {
+                return;
+            }
             if let Err(e) = self.spawn_worker() {
                 self.fail(e);
                 return;
@@ -344,9 +502,8 @@ impl Coordinator<'_> {
                 self.maybe_finish();
             }
             Decision::Retry(job) => {
-                // Identical backoff math to the in-process pool: the
-                // retry lands mid-deque at a position derived only from
-                // the campaign seed and the job identity.
+                // The retry lands mid-deque at a position derived only
+                // from the campaign seed and the job identity.
                 let name = self.selected[job.target_index].spec.name.as_str();
                 let back = retry_backoff(self.cfg.seed, name, job.shard, job.attempt);
                 let d = (back % self.n as u64) as usize;
@@ -388,13 +545,11 @@ impl Coordinator<'_> {
     }
 
     /// Answers a `lease_req`: pop the connection's own deque (no
-    /// stealing — partitioning is what keeps N processes deterministic)
+    /// stealing — partitioning is what keeps N workers deterministic)
     /// or park the worker until a retry lands there.
     fn try_grant(&mut self, conn: u64) {
         if self.finishing || self.stopping {
-            if let Some(c) = self.conns.get(&conn) {
-                let _ = c.out.send(tagged("shutdown"));
-            }
+            self.send(conn, tagged("shutdown"));
             return;
         }
         let (widx, job) = {
@@ -423,7 +578,7 @@ impl Coordinator<'_> {
         {
             // Injected connection drop: sever instead of granting. The
             // popped job is immediately a lost lease; `Gone` follows and
-            // respawns a replacement for the queue.
+            // starts a replacement for the queue.
             self.sever(conn);
             self.lost(widx, job, MSG_CONN_LOST);
             return;
@@ -438,40 +593,47 @@ impl Coordinator<'_> {
         );
         if let Some(c) = self.conns.get_mut(&conn) {
             c.lease = Some(lease);
-            let _ = c.out.send(lease_frame(lease, job));
         }
+        self.send(conn, lease_frame(lease, job));
     }
 
     /// Applies a `done`/`failed` frame: resolve the lease, feed the
-    /// shared result handler, answer `ack`.
+    /// shared result handler, answer `ack`. Only the lease's holder may
+    /// resolve it.
     fn handle_result(&mut self, conn: u64, frame: &Json) {
-        if let Some(m) = frame.get("metrics") {
-            self.worker_metrics.insert(conn, m.clone());
-        }
         let Some(lease) = frame.get("lease").and_then(Json::as_u64) else {
             self.fail(CampaignError::Proto(
                 "result frame without a lease".to_string(),
             ));
             return;
         };
-        let Some(li) = self.leases.remove(&lease) else {
-            // The lease was already reclaimed (expired or severed); the
-            // job re-ran elsewhere. First resolution won, drop this one.
-            self.ctel.stale_results.inc();
-            self.ack(conn);
+        match self.leases.get(&lease).map(|li| li.conn) {
+            None => {
+                // The lease was already reclaimed (expired or severed);
+                // the job re-ran elsewhere. First resolution won.
+                self.ctel.stale_results.inc();
+                self.send(conn, tagged("ack"));
+                return;
+            }
+            Some(holder) if holder != conn => {
+                // Another worker's lease: sever the sender. Its own lease
+                // is reclaimed when it is gone; the holder's is untouched.
+                self.sever(conn);
+                return;
+            }
+            Some(_) => {}
+        }
+        let (Some(li), Some(c)) = (self.leases.remove(&lease), self.conns.get_mut(&conn)) else {
             return;
         };
-        if let Some(c) = self.conns.get_mut(&conn) {
-            c.lease = None;
-        }
+        c.lease = None;
+        let widx = c.widx;
         if self.stopping {
-            // Stop parity with the in-process pool: in-flight results
-            // are dropped, but the worker is still acked so it reaches
-            // its shutdown cleanly.
-            self.ack(conn);
+            // A stopped campaign drops in-flight results, but the worker
+            // is still acked so it reaches its shutdown cleanly.
+            self.send(conn, tagged("ack"));
             return;
         }
-        let widx = self.conns.get(&conn).map_or(0, |c| c.widx);
         let result = if frame_type(frame) == Some("done") {
             let record = frame
                 .get("record")
@@ -516,28 +678,39 @@ impl Coordinator<'_> {
         };
         let decision = self.handler.on_result(result);
         self.apply_decision(decision);
-        self.ack(conn);
+        self.send(conn, tagged("ack"));
     }
 
-    fn handle_frame(&mut self, conn: u64, frame: Json) {
-        match frame_type(&frame) {
+    fn handle_frame(&mut self, conn: u64, frame: &Json) {
+        if let Some(m) = frame.get("metrics") {
+            self.worker_metrics.insert(conn, m.clone());
+        }
+        let Some(c) = self.conns.get(&conn) else {
+            return;
+        };
+        if c.out.is_none() {
+            // Severed: nothing it says counts any more.
+            if matches!(frame_type(frame), Some("done" | "failed")) {
+                self.ctel.stale_results.inc();
+            }
+            return;
+        }
+        match frame_type(frame) {
             Some("lease_req") => self.try_grant(conn),
             Some("renew") => {
-                if let Some(l) = frame.get("lease").and_then(Json::as_u64) {
-                    if let Some(li) = self.leases.get_mut(&l) {
-                        li.last_renew = Instant::now();
-                    }
+                let lease = frame.get("lease").and_then(Json::as_u64);
+                match lease.and_then(|l| self.leases.get_mut(&l)) {
+                    Some(li) if li.conn == conn => li.last_renew = Instant::now(),
+                    Some(_) => self.sever(conn),
+                    None => {}
                 }
             }
-            Some("done") | Some("failed") => self.handle_result(conn, &frame),
+            Some("done" | "failed") => self.handle_result(conn, frame),
             Some("bye") => {
                 let u = |k: &str| frame.get(k).and_then(Json::as_u64).unwrap_or(0);
                 self.cache_sums.0 += u("cache_hits");
                 self.cache_sums.1 += u("cache_misses");
                 self.blocks_sum += u("blocks_translated");
-                if let Some(m) = frame.get("metrics") {
-                    self.worker_metrics.insert(conn, m.clone());
-                }
             }
             _ => {}
         }
@@ -560,7 +733,7 @@ impl Coordinator<'_> {
 
     fn handle(&mut self, ev: Ev) {
         match ev {
-            Ev::Hello { conn, out, sever } => {
+            Ev::Hello { conn, out, sock } => {
                 if self.finishing || self.stopping {
                     // A straggler connecting after the campaign drained:
                     // shut it down without tracking it.
@@ -568,24 +741,9 @@ impl Coordinator<'_> {
                     return;
                 }
                 self.pending_spawns = self.pending_spawns.saturating_sub(1);
-                let Some(widx) = self.pick_index() else {
-                    let _ = out.send(tagged("shutdown"));
-                    return;
-                };
-                self.free_idx.remove(&widx);
-                let _ = out.send(config_frame(self.cfg, self.selected));
-                self.conns.insert(
-                    conn,
-                    ConnState {
-                        widx,
-                        out,
-                        sever,
-                        lease: None,
-                        parked: false,
-                    },
-                );
+                self.register(conn, out, Some(sock));
             }
-            Ev::Frame { conn, frame } => self.handle_frame(conn, frame),
+            Ev::Frame { conn, frame } => self.handle_frame(conn, &frame),
             Ev::Gone { conn } => self.handle_gone(conn),
             Ev::Status { reply } => {
                 let _ = reply.send(self.status());
@@ -594,17 +752,12 @@ impl Coordinator<'_> {
     }
 
     /// Reclaims leases whose workers stopped renewing. Wall-clock by
-    /// necessity (a hung worker is a wall-clock phenomenon), which is
-    /// why `lease_timeout_ms` must dwarf `renew_ms`.
+    /// necessity (a hung worker is a wall-clock phenomenon).
     fn expire_leases(&mut self) {
-        if self.cfg.lease_timeout_ms == 0 {
-            return;
-        }
-        let timeout = Duration::from_millis(self.cfg.lease_timeout_ms);
         let expired: Vec<u64> = self
             .leases
             .iter()
-            .filter(|(_, li)| li.last_renew.elapsed() >= timeout)
+            .filter(|(_, li)| li.last_renew.elapsed() >= LEASE_TIMEOUT)
             .map(|(&l, _)| l)
             .collect();
         for l in expired {
@@ -628,8 +781,9 @@ impl Coordinator<'_> {
     /// Reaps exited worker processes (avoids zombie accumulation during
     /// long campaigns with respawns).
     fn reap(&mut self) {
-        self.children
-            .retain_mut(|child| !matches!(child.try_wait(), Ok(Some(_))));
+        if let Spawner::Procs { children, .. } = &mut self.spawner {
+            children.retain_mut(|child| !matches!(child.try_wait(), Ok(Some(_))));
+        }
     }
 
     /// The live status object: progress counters plus a merged metric
@@ -658,11 +812,11 @@ impl Coordinator<'_> {
     }
 }
 
-/// Runs the campaign as a coordinator over `cfg.workers_proc` worker
-/// processes. Same contract as the in-process path: identical results,
-/// identical report shape, partial results instead of aborts.
-pub(crate) fn run_procs(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
-    let n = cfg.workers_proc.unwrap_or(1).max(1);
+/// Runs the campaign: `cfg.workers_proc` worker processes when set,
+/// else `cfg.workers` worker threads. Partial results instead of
+/// aborts; the same report and stream either way.
+pub(crate) fn run(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
+    let n = cfg.workers_proc.unwrap_or(cfg.workers).max(1);
     let started = Instant::now();
     let tel = build_telemetry(cfg)?;
     let started_us = tel.now_micros();
@@ -677,40 +831,26 @@ pub(crate) fn run_procs(cfg: &CampaignConfig) -> Result<CampaignReport, Campaign
     } = prepare(cfg, &tel, &ctel, n)?;
     let mut handler = ResultHandler::new(cfg, &tel, &ctel, &selected, state, stats, ledger, policy);
     handler.started = started;
-    // Results arrive in socket order; buffering + the canonical EventKey
-    // sort is what keeps the recorded stream deterministic.
-    handler.buffer_events = true;
-
-    let exe = resolve_worker_exe(cfg)?;
-    let listener = TcpListener::bind("127.0.0.1:0")
-        .map_err(|e| CampaignError::Proto(format!("cannot bind coordinator socket: {e}")))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| CampaignError::Proto(format!("cannot read coordinator address: {e}")))?
-        .to_string();
-    if let Some(path) = &cfg.status_addr_out {
-        std::fs::write(path, format!("{addr}\n"))
-            .map_err(|e| CampaignError::Proto(format!("cannot write status address file: {e}")))?;
-    }
 
     let (ev_tx, ev_rx) = mpsc::channel::<Ev>();
-    let stop_accept = Arc::new(AtomicBool::new(false));
-    let accept_handle = {
-        let ev_tx = ev_tx.clone();
-        let stop_accept = Arc::clone(&stop_accept);
-        std::thread::spawn(move || {
-            let mut next_id: u64 = 0;
-            for stream in listener.incoming() {
-                if stop_accept.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                next_id += 1;
-                let id = next_id;
-                let ev_tx = ev_tx.clone();
-                std::thread::spawn(move || serve_conn(stream, id, &ev_tx));
-            }
-        })
+    let (spawner, listener) = match cfg.workers_proc {
+        None => (
+            Spawner::Threads {
+                ev_tx,
+                queued: Vec::new(),
+            },
+            None,
+        ),
+        Some(_) => {
+            let exe = resolve_worker_exe(cfg)?;
+            let listener = Listener::bind(cfg, &ev_tx)?;
+            let spawner = Spawner::Procs {
+                exe,
+                addr: listener.addr.clone(),
+                children: Vec::new(),
+            };
+            (spawner, Some(listener))
+        }
     };
 
     let mut deques: Vec<VecDeque<Job>> = (0..n).map(|_| VecDeque::new()).collect();
@@ -733,11 +873,9 @@ pub(crate) fn run_procs(cfg: &CampaignConfig) -> Result<CampaignReport, Campaign
         swept: Vec::new(),
         stopping: false,
         finishing: false,
-        children: Vec::new(),
+        spawner,
         spawned: 0,
         pending_spawns: 0,
-        exe,
-        addr: addr.clone(),
         worker_metrics: HashMap::new(),
         cache_sums: (0, 0),
         blocks_sum: 0,
@@ -755,31 +893,42 @@ pub(crate) fn run_procs(cfg: &CampaignConfig) -> Result<CampaignReport, Campaign
         }
     }
 
-    loop {
-        if co.fatal.is_some() {
-            break;
-        }
-        if (co.finishing || co.stopping) && co.conns.is_empty() {
-            break;
-        }
-        match ev_rx.recv_timeout(TICK) {
-            Ok(ev) => co.handle(ev),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                co.expire_leases();
-                co.reap();
+    let cache = BinaryCache::new();
+    let env = WorkerEnv {
+        cfg,
+        targets: &selected,
+        cache: &cache,
+        ctel: &ctel,
+    };
+    let env = &env;
+    std::thread::scope(|scope| {
+        loop {
+            if let Spawner::Threads { ev_tx, queued } = &mut co.spawner {
+                for (conn, rx) in queued.drain(..) {
+                    let ev_tx = ev_tx.clone();
+                    scope.spawn(move || thread_worker(conn, rx, ev_tx, env));
+                }
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            if co.fatal.is_some() || ((co.finishing || co.stopping) && co.conns.is_empty()) {
+                break;
+            }
+            match ev_rx.recv_timeout(TICK) {
+                Ok(ev) => co.handle(ev),
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    co.expire_leases();
+                    co.reap();
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
         }
-    }
+        // Close every channel still open (after a fatal error) so the
+        // scope's threads can return.
+        co.conns.clear();
+    });
 
-    // Teardown: stop accepting (the dummy connection unblocks the
-    // blocking accept), close every worker connection, reap children.
-    stop_accept.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(&addr);
-    let _ = accept_handle.join();
     let Coordinator {
         handler,
-        mut children,
+        spawner,
         swept,
         worker_metrics,
         cache_sums,
@@ -787,18 +936,23 @@ pub(crate) fn run_procs(cfg: &CampaignConfig) -> Result<CampaignReport, Campaign
         fatal,
         ..
     } = co;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    for mut child in children.drain(..) {
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) | Err(_) => break,
-                Ok(None) => {
-                    if Instant::now() >= deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
+    if let Some(listener) = listener {
+        listener.close();
+    }
+    if let Spawner::Procs { children, .. } = spawner {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for mut child in children {
+            loop {
+                match child.try_wait() {
+                    Ok(Some(_)) | Err(_) => break,
+                    Ok(None) => {
+                        if Instant::now() >= deadline {
+                            let _ = child.kill();
+                            let _ = child.wait();
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(20));
                     }
-                    std::thread::sleep(Duration::from_millis(20));
                 }
             }
         }
@@ -807,9 +961,9 @@ pub(crate) fn run_procs(cfg: &CampaignConfig) -> Result<CampaignReport, Campaign
         return Err(e);
     }
 
-    // Fold every worker's final metric snapshot into the campaign
+    // Fold every worker process's final metric snapshot into the campaign
     // registry (commutative merges — HashMap order does not matter), so
-    // the final snapshot reads identically to the in-process run.
+    // the final snapshot reads identically to a thread campaign's.
     for m in worker_metrics.values() {
         tel.registry().merge_snapshot(m);
     }

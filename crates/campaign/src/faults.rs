@@ -4,9 +4,9 @@
 //! and flaky I/O. The recovery paths for those failures are exactly the
 //! code that never runs in a clean test suite, so this module makes the
 //! failures *schedulable*: a [`FaultPlan`] names concrete injection
-//! points (a job attempt, a compile, a checkpoint append) and the
-//! scheduler, binary cache, and checkpoint writer consult it at each
-//! point. The default (`None` plan) is a single `Option` check — no
+//! points (a job attempt, a compile, a checkpoint append, a lease
+//! grant) and the worker loop, binary cache, checkpoint writer and
+//! coordinator consult it at each point. The default (`None` plan) is a single `Option` check — no
 //! fault machinery runs in production campaigns.
 //!
 //! Determinism is the design constraint: every firing decision is a pure
@@ -34,16 +34,16 @@
 //! fail@compile:jq*inf      every jq compile returns an error
 //! io@checkpoint:3          the 3rd checkpoint append fails
 //! io@checkpoint:any*inf    every checkpoint append fails
-//! die@tcpdump#0            the worker *process* running tcpdump#0 exits
+//! die@tcpdump#0            the worker running tcpdump#0 ends mid-lease
 //! drop@conn:1              the coordinator severs the 1st lease grant
 //! drop@conn:any*2          ...the first 2 grants
 //! ```
 //!
 //! Kinds: `panic` (job or compile sites), `io` (job or checkpoint
-//! sites), `fail` (compile sites), `die` (job sites; the worker process
-//! exits mid-lease — a no-op in in-process pools, which have no process
-//! to kill), `drop` (conn sites; the coordinator closes the connection
-//! instead of delivering a lease grant). `*count` bounds the attempt
+//! sites), `fail` (compile sites), `die` (job sites; the worker ends
+//! while it holds the lease — a process exits 137, a thread returns),
+//! `drop` (conn sites; the coordinator closes the worker's channel —
+//! socket or `mpsc` — instead of delivering a lease grant). `*count` bounds the attempt
 //! number a rule still fires at (`*inf` = every attempt); the default is
 //! 1, i.e. "fail once, let the retry succeed". For `conn:any` rules the
 //! count is a firing budget over grant sequence numbers, like
@@ -62,12 +62,11 @@ pub enum FaultKind {
     Io,
     /// A compile returns an error instead of a binary.
     CompileFail,
-    /// The worker *process* exits mid-lease (coordinator/worker mode
-    /// only; the in-process pool ignores it — there is no process to
-    /// kill without taking the campaign down).
+    /// The worker ends while it holds the lease: a process exits 137, a
+    /// thread returns.
     Die,
-    /// The coordinator severs the connection instead of delivering a
-    /// lease grant.
+    /// The coordinator severs the worker's channel instead of delivering
+    /// a lease grant.
     Drop,
 }
 
@@ -395,7 +394,7 @@ mod tests {
         assert!(!p.fire_conn(6), "budget of 2 exhausted");
 
         // die@ is a job-site kind and flows through fire_job like any
-        // other; the in-process pool ignores it.
+        // other; the worker loop ends the worker when it fires.
         let p = FaultPlan::parse("die@tcpdump#0", 9).unwrap();
         assert_eq!(p.fire_job("tcpdump", 0, 1), Some(FaultKind::Die));
         assert_eq!(p.fire_job("tcpdump", 0, 2), None, "default count is 1");

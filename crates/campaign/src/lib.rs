@@ -2,8 +2,10 @@
 //!
 //! The paper's evaluation fuzzes 23 targets × 24 hours with CompDiff
 //! attached; this crate is the orchestrator that makes that workload
-//! practical: a work-stealing [`scheduler`] shards every target's budget
-//! into (target × seed-slice) jobs across N worker threads, a shared
+//! practical: one lease coordinator shards every target's budget into
+//! (target × seed-slice) [`scheduler::Job`]s across N workers — threads
+//! over `mpsc` or processes over a loopback socket, one [`worker`] loop
+//! for both — a shared
 //! [`cache::BinaryCache`] compiles each target's ten differential binaries
 //! (plus the fuzz binary) exactly once, a crash-resilient
 //! [`state::CampaignState`] checkpoints each finished job to a JSONL file
@@ -11,13 +13,15 @@
 //! [`stats::CampaignStats`] aggregator dedups discrepancies campaign-wide
 //! by [`compdiff::signature_of`].
 //!
-//! Campaigns are deterministic in their *results*: each job's fuzzing RNG
-//! is seeded from `(campaign seed, target, shard)` only, so the deduped
-//! signature set is identical at any worker count — completion order is
-//! the only thing parallelism changes.
+//! Campaigns are deterministic: each job's fuzzing RNG is seeded from
+//! `(campaign seed, target, shard)` only, so the deduped signature set is
+//! identical at any worker count; and since shards are partitioned
+//! across workers and events are re-sorted into a canonical order, a
+//! campaign at N workers renders the same report and metrics stream on
+//! every run and over either transport.
 //!
 //! Campaigns are also *fault-tolerant*: a panicking job or compile is
-//! caught ([`scheduler`], [`cache`]) and becomes a structured
+//! caught ([`worker`], [`cache`]) and becomes a structured
 //! [`state::FailureRecord`]; failed jobs are retried with deterministic
 //! backoff and repeatedly failing targets are quarantined
 //! ([`policy`]); checkpoints are fsynced per record and survive
@@ -78,7 +82,7 @@ use telemetry::{JsonlRecorder, MonotonicClock, NoopRecorder, Telemetry, TestCloc
 /// Campaign parameters.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Worker threads.
+    /// Worker threads (ignored when `workers_proc` is set).
     pub workers: usize,
     /// Fuzz-binary execution budget per target (split across shards).
     pub execs_per_target: u64,
@@ -124,8 +128,9 @@ pub struct CampaignConfig {
     /// `0` disables periodic progress.
     pub progress_every: usize,
     /// Pin the telemetry clock to this fixed microsecond reading instead
-    /// of wall time. With one worker this makes the event stream
-    /// byte-identical across runs (the determinism test hook).
+    /// of wall time. This makes the report and event stream
+    /// byte-identical across runs at any worker count (the determinism
+    /// test hook).
     pub fixed_clock_us: Option<u64>,
     /// Inputs per batched oracle sweep: each differential binary runs the
     /// whole batch before the next binary starts, and only inputs whose
@@ -136,10 +141,9 @@ pub struct CampaignConfig {
     /// fuzzing finishes, publishing `sancheck.*` metrics (site counts,
     /// sanitizer false negatives/alarms, cross-impl verdict splits).
     pub sancheck: bool,
-    /// Run the campaign as a coordinator over this many worker
-    /// *processes* (the JSONL socket protocol; see DESIGN.md §17)
-    /// instead of the in-process thread pool. `None` (the default) keeps
-    /// the in-process path.
+    /// Run the campaign's workers as this many *processes* (the JSONL
+    /// socket protocol; see DESIGN.md §17) instead of `workers` threads.
+    /// `None` (the default) runs threads.
     pub workers_proc: Option<usize>,
     /// Worker executable the coordinator spawns; `None` resolves the
     /// `compdiff` binary next to the current executable.
@@ -148,13 +152,9 @@ pub struct CampaignConfig {
     /// worker processes can re-parse it under the campaign seed
     /// (`Arc<FaultPlan>` does not cross a process boundary).
     pub fault_plan_spec: Option<String>,
-    /// Milliseconds without a renewal after which a lease is reclaimed
-    /// and its job re-queued; `0` disables expiry (coordinator mode).
-    pub lease_timeout_ms: u64,
-    /// Worker lease-renewal period in milliseconds (coordinator mode).
-    pub renew_ms: u64,
     /// Write the coordinator's status-endpoint address (`host:port`
-    /// plus a newline) to this file once it is listening.
+    /// plus a newline) to this file once it is listening (worker-process
+    /// campaigns only; thread campaigns open no socket).
     pub status_addr_out: Option<PathBuf>,
 }
 
@@ -185,8 +185,6 @@ impl Default for CampaignConfig {
             workers_proc: None,
             worker_exe: None,
             fault_plan_spec: None,
-            lease_timeout_ms: 30_000,
-            renew_ms: 500,
             status_addr_out: None,
         }
     }
@@ -266,16 +264,15 @@ impl CampaignReport {
     }
 }
 
-/// Runs a campaign to completion (or to `stop_after_jobs`): the
-/// in-process thread pool by default, or a coordinator over
-/// `workers_proc` worker processes when that field is set.
+/// Runs a campaign to completion (or to `stop_after_jobs`) over
+/// `workers` threads, or over `workers_proc` worker processes when that
+/// field is set.
 ///
 /// # Errors
 ///
 /// Fails if the target filter matches nothing, the checkpoint is
-/// unusable ([`StateError`]), the fault-plan spec does not parse, or —
-/// in coordinator mode — the protocol breaks down
-/// ([`CampaignError::Proto`]).
+/// unusable ([`StateError`]), the fault-plan spec does not parse, or the
+/// worker protocol breaks down ([`CampaignError::Proto`]).
 pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
     let mut cfg = cfg.clone();
     if cfg.fault_plan.is_none() {
@@ -284,45 +281,10 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
             cfg.fault_plan = Some(Arc::new(plan));
         }
     }
-    if cfg.workers_proc.is_some() {
-        coordinator::run_procs(&cfg)
-    } else {
-        run_in_process(&cfg)
-    }
+    coordinator::run(&cfg)
 }
 
-/// The original single-process campaign: a work-stealing thread pool in
-/// this process.
-fn run_in_process(cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
-    let started = Instant::now();
-    let tel = build_telemetry(cfg)?;
-    let started_us = tel.now_micros();
-    let ctel = CampaignTelemetry::new(Arc::clone(&tel));
-    let Prepared {
-        selected,
-        pending,
-        state,
-        stats,
-        ledger,
-        policy,
-    } = prepare(cfg, &tel, &ctel, cfg.workers.max(1))?;
-
-    let cache = BinaryCache::new();
-    let mut handler = ResultHandler::new(cfg, &tel, &ctel, &selected, state, stats, ledger, policy);
-    handler.started = started;
-    let pool_outcome = scheduler::run_pool(&selected, &cache, cfg, &ctel, &pending, |result| {
-        handler.on_result(result)
-    });
-    Ok(handler.finalize(
-        &pool_outcome.swept,
-        &selected,
-        cache.counters(),
-        cache.blocks_translated(),
-        started_us,
-    ))
-}
-
-/// Everything a campaign (either mode) sets up before jobs run.
+/// Everything a campaign sets up before jobs run.
 pub(crate) struct Prepared {
     /// The selected targets, in schedule order.
     pub(crate) selected: Vec<Target>,
@@ -447,22 +409,20 @@ pub(crate) fn prepare(
     })
 }
 
-/// Canonical event order for coordinator-mode buffering: `(target
-/// index, shard, done-after-failures flag, attempt, failure-before-
-/// quarantine rank)`. A clean single-worker in-process run emits its
-/// events in exactly this order already, so sorting buffered
-/// coordinator events by this key reproduces that stream byte for byte.
+/// Canonical event order: `(target index, shard, done-after-failures
+/// flag, attempt, failure-before-quarantine rank)`. Results arrive in
+/// completion order, which is not deterministic at N > 1 workers;
+/// sorting the buffered events by this key is what makes the stream
+/// the same at any worker count.
 pub(crate) type EventKey = (usize, u32, u8, u32, u8);
 
 /// One buffered telemetry event: canonical sort key, event name, fields.
 type BufferedEvent = (EventKey, &'static str, Vec<(&'static str, Json)>);
 
-/// The campaign's per-result state machine, shared verbatim by the
-/// in-process pool and the coordinator: checkpoint-then-aggregate,
-/// event emission, retry/quarantine dispositions, and `stop_after_jobs`
-/// accounting. The coordinator sets `buffer_events` so events can be
-/// re-sorted into canonical order before hitting the recorder (results
-/// arrive in socket order, which is not deterministic at N > 1).
+/// The campaign's per-result state machine: checkpoint-then-aggregate,
+/// event buffering, retry/quarantine dispositions, and
+/// `stop_after_jobs` accounting. Events are buffered and re-sorted into
+/// canonical [`EventKey`] order when the campaign finalizes.
 pub(crate) struct ResultHandler<'a> {
     cfg: &'a CampaignConfig,
     tel: &'a Arc<Telemetry>,
@@ -475,7 +435,6 @@ pub(crate) struct ResultHandler<'a> {
     live_resolved: usize,
     pub(crate) aborted: bool,
     started: Instant,
-    pub(crate) buffer_events: bool,
     buffered: Vec<BufferedEvent>,
     target_index_of: BTreeMap<String, usize>,
 }
@@ -504,7 +463,6 @@ impl<'a> ResultHandler<'a> {
             live_resolved: 0,
             aborted: false,
             started: Instant::now(),
-            buffer_events: false,
             buffered: Vec::new(),
             target_index_of: selected
                 .iter()
@@ -514,20 +472,15 @@ impl<'a> ResultHandler<'a> {
         }
     }
 
-    /// Emits (or buffers) one event.
+    /// Buffers one event for the canonical-order flush.
     fn emit(&mut self, key: EventKey, name: &'static str, fields: Vec<(&'static str, Json)>) {
-        if !self.tel.events_enabled() {
-            return;
-        }
-        if self.buffer_events {
+        if self.tel.events_enabled() {
             self.buffered.push((key, name, fields));
-        } else {
-            self.tel.event(name, fields);
         }
     }
 
-    /// Applies one resolved job attempt and returns the scheduler's next
-    /// move. Exactly the in-process coordinator loop's body.
+    /// Applies one resolved job attempt and returns the coordinator's
+    /// next move.
     pub(crate) fn on_result(&mut self, result: JobResult) -> Decision {
         let mut decision = Decision::Continue;
         match result {

@@ -77,7 +77,7 @@ impl FaultLedger {
     }
 
     /// Folds in one failed attempt and returns the policy's decision.
-    /// Call in failure order — live from the scheduler or replayed from
+    /// Call in failure order — live from the coordinator or replayed from
     /// a checkpoint; both walks produce identical ledgers.
     pub fn note_failure(
         &mut self,

@@ -1,8 +1,9 @@
-//! The coordinator/worker wire protocol: line-delimited JSON frames
-//! over a local TCP socket (see DESIGN.md §17).
+//! The coordinator/worker protocol (see DESIGN.md §17): `compdiff::Json`
+//! frames, passed as values over `mpsc` to worker threads and as
+//! line-delimited JSON over a local TCP socket to worker processes.
 //!
-//! Every frame is one `compdiff::Json` object on one line, tagged with a
-//! `"t"` field. The conversation:
+//! Every frame is one `compdiff::Json` object (one line on the wire),
+//! tagged with a `"t"` field. The conversation:
 //!
 //! ```text
 //! worker → hello {pid}                 coordinator → config {campaign...}
@@ -11,16 +12,18 @@
 //! worker → done {lease, record, ...}   coordinator → ack
 //! worker → failed {lease, kind, ...}   coordinator → ack
 //! (campaign drained)                   coordinator → shutdown
-//! worker → bye {cache counters, metrics}, closes
+//! worker → bye {cache counters}, closes
 //! anyone → status                      coordinator → status {progress...}, closes
 //! ```
 //!
-//! The config frame carries everything a worker needs to rebuild its
-//! `CampaignConfig` and target set; targets travel as (name, magic, src,
-//! hex seeds) and are recompiled by the worker's own `BinaryCache`.
-//! `DiffConfig::filters` does not cross the wire — the CLI cannot set
-//! filters, so campaign workers always run with the default (empty)
-//! filter set, same as the in-process path.
+//! A worker process adds its registry snapshot (`metrics`) to `done`,
+//! `failed` and `bye`; worker threads share the campaign's registry.
+//! Only socket workers get the config frame, which carries everything a
+//! worker needs to rebuild its `CampaignConfig` and target set; targets
+//! travel as (name, magic, src, hex seeds) and are recompiled by the
+//! worker's own `BinaryCache`. `DiffConfig::filters` does not cross the
+//! wire — the CLI cannot set filters, so campaign workers always run
+//! with the default (empty) filter set, same as worker threads.
 
 use crate::{CampaignConfig, FailureKind, JobRecord};
 use compdiff::Json;
@@ -153,7 +156,6 @@ pub(crate) fn config_frame(cfg: &CampaignConfig, targets: &[Target]) -> Json {
                 None => Json::Null,
             },
         ),
-        ("renew_ms", Json::Int(cfg.renew_ms as i64)),
         ("targets", Json::Array(targets_json)),
     ])
 }
@@ -175,7 +177,6 @@ pub(crate) fn parse_config(v: &Json) -> Result<(CampaignConfig, Vec<Target>), St
         max_input_len: usize::try_from(int("max_input_len")?)
             .map_err(|_| "max_input_len out of range")?,
         batch_size: usize::try_from(int("batch_size")?).map_err(|_| "batch_size out of range")?,
-        renew_ms: int("renew_ms")? as u64,
         ..CampaignConfig::default()
     };
     let fuzz_impl = v
@@ -307,38 +308,24 @@ pub(crate) fn lease_frame(lease: u64, job: crate::Job) -> Json {
 }
 
 /// The worker's successful-job report.
-pub(crate) fn done_frame(
-    lease: u64,
-    record: &JobRecord,
-    dur_us: u64,
-    vm: &SessionStats,
-    metrics: Json,
-) -> Json {
+pub(crate) fn done_frame(lease: u64, record: &JobRecord, dur_us: u64, vm: &SessionStats) -> Json {
     Json::obj(vec![
         ("t", Json::Str("done".to_string())),
         ("lease", Json::Int(lease as i64)),
         ("record", record.to_json()),
         ("dur_us", Json::Int(dur_us as i64)),
         ("vm", vm_to_json(vm)),
-        ("metrics", metrics),
     ])
 }
 
 /// The worker's failed-attempt report.
-pub(crate) fn failed_frame(
-    lease: u64,
-    kind: FailureKind,
-    message: &str,
-    dur_us: u64,
-    metrics: Json,
-) -> Json {
+pub(crate) fn failed_frame(lease: u64, kind: FailureKind, message: &str, dur_us: u64) -> Json {
     Json::obj(vec![
         ("t", Json::Str("failed".to_string())),
         ("lease", Json::Int(lease as i64)),
         ("kind", Json::Str(kind.as_str().to_string())),
         ("message", Json::Str(message.to_string())),
         ("dur_us", Json::Int(dur_us as i64)),
-        ("metrics", metrics),
     ])
 }
 
@@ -395,7 +382,6 @@ mod tests {
             batch_size: 8,
             fault_plan_spec: Some("die@tcpdump#0".to_string()),
             fixed_clock_us: Some(5),
-            renew_ms: 250,
             ..CampaignConfig::default()
         };
         cfg.diff_config.vm.mode = VmMode::Interp;
@@ -424,7 +410,6 @@ mod tests {
         assert_eq!(got_cfg.diff_config.vm.step_limit, 12_345);
         assert_eq!(got_cfg.fixed_clock_us, Some(5));
         assert_eq!(got_cfg.fault_plan_spec.as_deref(), Some("die@tcpdump#0"));
-        assert_eq!(got_cfg.renew_ms, 250);
         assert_eq!(got_targets.len(), 1);
         assert_eq!(got_targets[0].spec.name, "tcpdump");
         assert_eq!(got_targets[0].spec.magic, [0xD4, 0xC3]);

@@ -1,21 +1,7 @@
-//! The fault-tolerant work-stealing scheduler: (target × seed-shard) job
-//! attempts over N workers.
-//!
-//! Each worker owns a deque seeded round-robin; it pops its own front
-//! and, when empty, steals from the *back* of a sibling's deque (the
-//! classic Chase–Lev discipline, here with one mutexed state block —
-//! jobs are seconds-long, so lock contention is noise). A condvar parks
-//! idle workers while retries may still be requeued: a worker only exits
-//! when no job is queued *and* none is outstanding.
-//!
-//! Fault tolerance: every job attempt (compile included) runs inside
-//! `catch_unwind`, so a panic becomes a [`JobResult::Failed`] delivered
-//! to the coordinator instead of a dead pool. The coordinator answers
-//! each result with a [`Decision`] — retry (requeued at a deterministic
-//! backoff position), quarantine (the target's queued jobs are swept and
-//! reported back), continue, or stop. The worker blocks until its result
-//! is decided, which keeps single-worker campaigns fully serialized and
-//! therefore byte-identical across runs.
+//! Jobs and what runs them: the (target × seed-shard) [`Job`] unit, its
+//! seed and budget, and [`run_job`], one attempt's fuzzing campaign with
+//! the CompDiff oracle attached. Scheduling lives in the coordinator
+//! (DESIGN.md §8); the worker loop calls [`run_job`].
 //!
 //! Determinism: a job's fuzzing seed is derived from `(campaign seed,
 //! target name, shard index)` and *never* from which worker runs it or
@@ -25,18 +11,15 @@
 //! signature set is the order-independent union of its jobs' sets, so N
 //! workers and 1 worker produce identical results.
 
-use crate::cache::{BinaryCache, CacheError, CompiledTarget};
-use crate::faults::{panic_message, FaultKind};
+use crate::cache::CompiledTarget;
+use crate::faults::FaultKind;
 use crate::state::{FailureKind, JobRecord};
 use crate::telem::{CampaignTelemetry, DiffTelemetry};
 use crate::CampaignConfig;
 use compdiff::{hash64, DiffOutcome, DiffStore};
 use fuzzing::{BinaryTarget, FuzzConfig, Fuzzer, Oracle};
 use minc_vm::{ExecResult, ExecSession, SessionStats};
-use std::collections::{BTreeSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
-use targets::Target;
+use std::collections::BTreeSet;
 
 /// One schedulable unit: one attempt at one seed shard of one target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +74,8 @@ pub enum JobResult {
     Failed(JobFailure),
 }
 
-/// The coordinator's answer to a [`JobResult`] — how the pool proceeds.
+/// The result handler's answer to a [`JobResult`] — how the coordinator
+/// proceeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// Nothing to do; the job is resolved.
@@ -99,8 +83,8 @@ pub enum Decision {
     /// Requeue this job (its `attempt` already incremented) at a
     /// deterministic backoff position.
     Retry(Job),
-    /// Drop every queued job of this target; the swept jobs are returned
-    /// in [`PoolOutcome::swept`].
+    /// Drop every queued job of this target; the swept jobs are counted
+    /// as skipped.
     Quarantine {
         /// Index into the campaign's target list.
         target_index: usize,
@@ -109,14 +93,6 @@ pub enum Decision {
     /// results are dropped — the simulated `kill` the resume path
     /// recovers from.
     Stop,
-}
-
-/// What the pool did beyond invoking the callback.
-#[derive(Debug, Default)]
-pub struct PoolOutcome {
-    /// Queued jobs dropped by [`Decision::Quarantine`] sweeps, in sweep
-    /// order — the coordinator counts these as skipped.
-    pub swept: Vec<Job>,
 }
 
 /// The per-job RNG seed: a SplitMix64 mix of the campaign seed, the
@@ -150,13 +126,6 @@ pub fn execs_for_shard(execs_per_target: u64, shards: u32, shard: u32) -> u64 {
     let shards = u64::from(shards.max(1));
     let base = execs_per_target / shards;
     base + u64::from(u64::from(shard) < execs_per_target % shards)
-}
-
-/// Locks a mutex, shrugging off poison. The pool's shared state is only
-/// mutated under short, panic-free critical sections (deque ops and
-/// counter bumps), so a poisoned lock carries no torn state.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The differential oracle a worker plugs into its fuzzer: borrows the
@@ -321,196 +290,6 @@ pub fn run_job(
         dur_us,
         vm,
     })
-}
-
-/// Shared pool state: the work deques plus the accounting the exit
-/// condition needs. `outstanding` counts jobs that are queued *or*
-/// resolving (popped but not yet decided) — a worker may only exit when
-/// it is zero, because until then a retry could still be requeued.
-struct Shared {
-    deques: Vec<VecDeque<Job>>,
-    outstanding: usize,
-    abort: bool,
-}
-
-/// One attempt result in flight to the coordinator. The worker blocks on
-/// `ack` until the coordinator has applied its [`Decision`], so at
-/// `workers = 1` the schedule is a strict job → decision → job
-/// alternation — the property the byte-identical determinism tests rely
-/// on.
-struct Msg {
-    result: JobResult,
-    ack: mpsc::Sender<()>,
-}
-
-/// Runs `jobs` across `cfg.workers` work-stealing workers, invoking
-/// `on_result` on the coordinating thread for every resolved job attempt
-/// (in completion order) and applying the [`Decision`] it returns.
-/// Worker panics are caught and delivered as [`JobResult::Failed`]; the
-/// pool itself never aborts on a failing job.
-pub fn run_pool(
-    targets: &[Target],
-    cache: &BinaryCache,
-    cfg: &CampaignConfig,
-    ctel: &CampaignTelemetry,
-    jobs: &[Job],
-    mut on_result: impl FnMut(JobResult) -> Decision,
-) -> PoolOutcome {
-    let workers = cfg.workers.max(1);
-    let mut deques: Vec<VecDeque<Job>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for (i, &job) in jobs.iter().enumerate() {
-        deques[i % workers].push_back(job);
-    }
-    let shared = Mutex::new(Shared {
-        deques,
-        outstanding: jobs.len(),
-        abort: false,
-    });
-    let cvar = Condvar::new();
-    let (tx, rx) = mpsc::channel::<Msg>();
-    let faults = cfg.fault_plan.as_deref();
-
-    let mut outcome = PoolOutcome::default();
-    ctel.workers_spawned.add(workers as u64);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let shared = &shared;
-            let cvar = &cvar;
-            scope.spawn(move || loop {
-                let job = {
-                    let mut sh = lock_clean(shared);
-                    loop {
-                        if sh.abort {
-                            break None;
-                        }
-                        // Own work first (front), then steal (back).
-                        if let Some(j) = sh.deques[w].pop_front() {
-                            break Some(j);
-                        }
-                        if let Some(j) =
-                            (1..workers).find_map(|d| sh.deques[(w + d) % workers].pop_back())
-                        {
-                            break Some(j);
-                        }
-                        if sh.outstanding == 0 {
-                            break None;
-                        }
-                        // Queues are empty but a retry may still arrive.
-                        sh = cvar.wait(sh).unwrap_or_else(|e| e.into_inner());
-                    }
-                };
-                let Some(job) = job else { break };
-                // A thread popping a job is the in-process analogue of a
-                // lease grant, so clean-run metric snapshots match the
-                // coordinator/worker mode byte for byte.
-                ctel.leases_granted.inc();
-                let target = &targets[job.target_index];
-                let start_us = ctel.tel.now_micros();
-                // The unwind boundary: a panic anywhere in the compile or
-                // the job (real or injected) resolves *this attempt*, not
-                // the pool.
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    let ct = cache
-                        .get_or_compile(
-                            target,
-                            &cfg.diff_config,
-                            cfg.fuzz_impl,
-                            faults,
-                            job.attempt,
-                        )
-                        .map_err(|e| {
-                            let kind = match &e {
-                                CacheError::Frontend(_)
-                                | CacheError::Panic(_)
-                                | CacheError::Injected(_) => FailureKind::Compile,
-                            };
-                            (kind, e.to_string())
-                        })?;
-                    run_job(&ct, cfg, job, w, ctel)
-                }));
-                let result = match attempt {
-                    Ok(Ok(out)) => JobResult::Done(out),
-                    Ok(Err((kind, message))) => JobResult::Failed(JobFailure {
-                        worker: w,
-                        job,
-                        target: target.spec.name.to_string(),
-                        kind,
-                        message,
-                        dur_us: ctel.tel.now_micros().saturating_sub(start_us),
-                    }),
-                    Err(payload) => JobResult::Failed(JobFailure {
-                        worker: w,
-                        job,
-                        target: target.spec.name.to_string(),
-                        kind: FailureKind::Panic,
-                        message: panic_message(payload.as_ref()),
-                        dur_us: ctel.tel.now_micros().saturating_sub(start_us),
-                    }),
-                };
-                let (ack_tx, ack_rx) = mpsc::channel::<()>();
-                if tx
-                    .send(Msg {
-                        result,
-                        ack: ack_tx,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-                // Wait for the coordinator's decision before taking more
-                // work (an Err means the coordinator stopped — the abort
-                // flag is already set and the next pop exits).
-                let _ = ack_rx.recv();
-            });
-        }
-        drop(tx);
-        for Msg { result, ack } in rx {
-            let decision = on_result(result);
-            {
-                let mut sh = lock_clean(&shared);
-                match decision {
-                    Decision::Continue => sh.outstanding -= 1,
-                    Decision::Retry(job) => {
-                        let name = targets[job.target_index].spec.name.as_str();
-                        let back = retry_backoff(cfg.seed, name, job.shard, job.attempt);
-                        let d = (back % workers as u64) as usize;
-                        let dq = &mut sh.deques[d];
-                        let pos = ((back >> 32) as usize) % (dq.len() + 1);
-                        dq.insert(pos, job);
-                        // `outstanding` unchanged: the job is queued again.
-                    }
-                    Decision::Quarantine { target_index } => {
-                        sh.outstanding -= 1;
-                        let before = outcome.swept.len();
-                        for dq in &mut sh.deques {
-                            dq.retain(|j| {
-                                let hit = j.target_index == target_index;
-                                if hit {
-                                    outcome.swept.push(*j);
-                                }
-                                !hit
-                            });
-                        }
-                        sh.outstanding -= outcome.swept.len() - before;
-                    }
-                    Decision::Stop => {
-                        // Set under the lock, *then* notify: a worker
-                        // between its abort check and its wait would
-                        // otherwise miss the wakeup.
-                        sh.abort = true;
-                    }
-                }
-                cvar.notify_all();
-            }
-            let _ = ack.send(());
-            if decision == Decision::Stop {
-                break;
-            }
-        }
-        // Dropping `rx` here unblocks any worker mid-`send`.
-    });
-    outcome
 }
 
 #[cfg(test)]

@@ -208,7 +208,7 @@ impl CampaignStats {
             ));
         }
         s.push_str(&format!(
-            "binary cache: {} compiles, {} reuses\n",
+            "binary cache: {} loads, {} reuses\n",
             cache.1, cache.0
         ));
         s.push_str(&format!(

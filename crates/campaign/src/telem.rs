@@ -38,14 +38,14 @@ pub struct CampaignTelemetry {
     pub worker_panics: Arc<Counter>,
     /// `campaign.job_retries` — failed attempts that were requeued.
     pub job_retries: Arc<Counter>,
-    /// `campaign.leases_granted` — jobs handed to a worker (thread pops
-    /// in-process; lease grants in coordinator/worker mode).
+    /// `campaign.leases_granted` — lease grants to workers (threads or
+    /// processes).
     pub leases_granted: Arc<Counter>,
     /// `campaign.leases_expired` — leases reclaimed because the holding
-    /// worker process stopped renewing them.
+    /// worker stopped renewing them.
     pub leases_expired: Arc<Counter>,
-    /// `campaign.workers_spawned` — workers started (threads in-process;
-    /// processes, including respawns, in coordinator/worker mode).
+    /// `campaign.workers_spawned` — workers started, threads or
+    /// processes, replacements included.
     pub workers_spawned: Arc<Counter>,
     /// `campaign.stale_results` — results that arrived for a lease that
     /// had already expired and been re-queued (the result is dropped).
@@ -53,9 +53,12 @@ pub struct CampaignTelemetry {
     /// `campaign.targets_quarantined` — targets degraded out of the
     /// schedule after repeated failures.
     pub targets_quarantined: Arc<Gauge>,
-    /// `campaign.cache_hits` — binary-cache reuses (set at campaign end).
+    /// `campaign.cache_hits` — jobs whose worker had already loaded the
+    /// target (set at campaign end).
     pub cache_hits: Arc<Gauge>,
-    /// `campaign.cache_misses` — compiles performed (set at campaign end).
+    /// `campaign.cache_misses` — target loads: a worker's first job on a
+    /// target (set at campaign end). A worker process compiles on each
+    /// load; worker threads share one compile per target.
     pub cache_misses: Arc<Gauge>,
     /// `lint.scan_us` — per-target pre-fuzz unstable-code lint latency.
     pub lint_scan_us: Arc<Histogram>,
@@ -108,7 +111,8 @@ pub struct CampaignTelemetry {
     /// fallback path.
     pub fallback_builtin_ops: Arc<Counter>,
     /// `vm.blocks_translated` — superblocks translated (cache misses in
-    /// sessions plus the `BinaryCache`'s up-front per-binary translation).
+    /// sessions plus, per target load, the superblocks of the `BinaryCache`'s
+    /// up-front per-binary translation).
     pub blocks_translated: Arc<Counter>,
     /// `vm.block_cache_hits` — block-mode runs that reused a cached
     /// translation.

@@ -1,9 +1,9 @@
 //! The coordinator/worker protocol, exercised end to end with real
-//! worker processes: mode equivalence (1 worker process ==
-//! in-process `--workers 1`, byte for byte), N-process determinism,
-//! worker-death and dropped-connection recovery, coordinator
-//! kill/resume, the single-checkpoint-writer guarantee across
-//! processes, and the live status endpoint.
+//! worker processes: transport equivalence (N worker processes == N
+//! worker threads, byte for byte), N-process determinism, worker-death
+//! and dropped-connection recovery over both transports, lease
+//! ownership, coordinator kill/resume, the single-checkpoint-writer
+//! guarantee across processes, and the live status endpoint.
 
 use campaign::{CampaignConfig, CampaignReport, CampaignState, FailureKind};
 use compdiff::Json;
@@ -477,5 +477,223 @@ fn coordinator_drops_over_cap_connection() {
     assert_eq!(status.get("t").and_then(Json::as_str), Some("status"));
     let report = campaign_thread.join().unwrap();
     assert_eq!(report.stats.jobs_done, 2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The same worker-death drill over worker *threads*: the thread ends
+/// while it holds the lease, the lease resolves as `lost`, a replacement
+/// thread runs the retry, and the results match a clean run.
+#[test]
+fn thread_death_mid_lease_recovers() {
+    let dir = temp_dir("thread-die");
+    let base = CampaignConfig {
+        workers: 1,
+        execs_per_target: 60,
+        shards_per_target: 2,
+        seed: 11,
+        target_filter: Some(vec!["tcpdump".to_string()]),
+        ..Default::default()
+    };
+    let clean = campaign::run(&base).unwrap();
+    let faulty = campaign::run(&CampaignConfig {
+        checkpoint_dir: Some(dir.clone()),
+        fault_plan_spec: Some("die@tcpdump#0".to_string()),
+        ..base
+    })
+    .unwrap();
+
+    assert!(faulty.stats.is_complete(), "the retry must succeed");
+    assert_eq!(faulty.stats.failures, 1);
+    assert_eq!(faulty.stats.retries, 1);
+    assert_eq!(faulty.signatures(), clean.signatures());
+    assert_eq!(faulty.stats.execs, clean.stats.execs);
+    assert_eq!(
+        counter(&faulty, "campaign.workers_spawned"),
+        2,
+        "a replacement thread was started"
+    );
+    let header = campaign::CampaignHeader {
+        seed: 11,
+        execs_per_target: 60,
+        shards_per_target: 2,
+        targets: vec!["tcpdump".to_string()],
+    };
+    let st = CampaignState::resume(&dir, &header).unwrap();
+    let kinds: Vec<FailureKind> = st.failures().iter().map(|f| f.kind).collect();
+    assert_eq!(kinds, vec![FailureKind::Lost]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The same dropped-connection drill over worker *threads*: the first
+/// grant severs the thread's channel instead, the job is re-granted to
+/// a replacement thread, and the results match a clean run.
+#[test]
+fn thread_dropped_channel_regrants() {
+    let base = CampaignConfig {
+        workers: 1,
+        execs_per_target: 60,
+        shards_per_target: 2,
+        seed: 11,
+        target_filter: Some(vec!["tcpdump".to_string()]),
+        ..Default::default()
+    };
+    let clean = campaign::run(&base).unwrap();
+    let faulty = campaign::run(&CampaignConfig {
+        fault_plan_spec: Some("drop@conn:1".to_string()),
+        ..base
+    })
+    .unwrap();
+
+    assert!(faulty.stats.is_complete(), "the re-grant must succeed");
+    assert_eq!(faulty.stats.failures, 1, "one lost lease");
+    assert_eq!(faulty.stats.retries, 1);
+    assert_eq!(faulty.signatures(), clean.signatures());
+    assert_eq!(faulty.stats.execs, clean.stats.execs);
+    assert_eq!(
+        counter(&faulty, "campaign.leases_granted"),
+        3,
+        "2 jobs + 1 dropped grant"
+    );
+    assert_eq!(counter(&faulty, "campaign.workers_spawned"), 2);
+}
+
+/// Threads are just a transport: a clean `workers: 2` campaign renders
+/// the same report and metrics stream, byte for byte, as the same
+/// campaign over 2 worker processes.
+#[test]
+fn two_threads_match_two_procs() {
+    let dir = temp_dir("threads-vs-procs");
+    let run_once = |tag: &str, procs: Option<usize>| {
+        let metrics = dir.join(format!("{tag}.jsonl"));
+        let report = campaign::run(&CampaignConfig {
+            workers: 2,
+            workers_proc: procs,
+            worker_exe: worker_exe(),
+            execs_per_target: 150,
+            shards_per_target: 2,
+            seed: 11,
+            target_filter: Some(vec!["readelf".to_string(), "brotli".to_string()]),
+            metrics_out: Some(metrics.clone()),
+            fixed_clock_us: Some(0),
+            ..Default::default()
+        })
+        .unwrap();
+        (
+            report.render_summary(),
+            std::fs::read_to_string(metrics).unwrap(),
+        )
+    };
+    let (threads_report, threads_events) = run_once("threads", None);
+    let (procs_report, procs_events) = run_once("procs", Some(2));
+    assert_eq!(threads_report, procs_report, "reports must be identical");
+    assert_eq!(threads_events, procs_events, "streams must be identical");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A raw protocol client: the reading half and the writing half.
+fn raw_client(addr: &str) -> (std::io::BufReader<std::net::TcpStream>, std::net::TcpStream) {
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    (std::io::BufReader::new(stream.try_clone().unwrap()), stream)
+}
+
+fn raw_send(w: &mut std::net::TcpStream, frame: &str) {
+    use std::io::Write;
+    writeln!(w, "{frame}").unwrap();
+}
+
+fn raw_recv(r: &mut std::io::BufReader<std::net::TcpStream>) -> Json {
+    campaign::proto::read_frame(r).unwrap().unwrap()
+}
+
+fn tag(frame: &Json) -> &str {
+    frame.get("t").and_then(Json::as_str).unwrap_or("")
+}
+
+/// Only the connection holding a lease may resolve it. Two raw clients
+/// each take a lease; one posts `done` for the other's lease. The
+/// impostor is severed (its own lease is reclaimed as lost), and the
+/// holder's own result still resolves its lease instead of being
+/// dropped as stale.
+#[test]
+fn only_the_holder_resolves_a_lease() {
+    let dir = temp_dir("ownership");
+    let addr_file = dir.join("status.addr");
+    let cfg = CampaignConfig {
+        workers_proc: Some(2),
+        // The spawned workers exit at once without connecting; the two
+        // raw clients below take their places.
+        worker_exe: Some(PathBuf::from("true")),
+        execs_per_target: 60,
+        shards_per_target: 2,
+        seed: 11,
+        max_retries: 0,
+        target_filter: Some(vec!["tcpdump".to_string()]),
+        status_addr_out: Some(addr_file.clone()),
+        ..Default::default()
+    };
+    let campaign_thread = std::thread::spawn(move || campaign::run(&cfg).unwrap());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let addr = loop {
+        if let Ok(s) = std::fs::read_to_string(&addr_file) {
+            let s = s.trim().to_string();
+            if !s.is_empty() {
+                break s;
+            }
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "status address file never appeared"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+
+    let (mut a_r, mut a_w) = raw_client(&addr);
+    let (mut b_r, mut b_w) = raw_client(&addr);
+    for (r, w) in [(&mut a_r, &mut a_w), (&mut b_r, &mut b_w)] {
+        raw_send(w, r#"{"t":"hello","pid":0}"#);
+        assert_eq!(tag(&raw_recv(r)), "config");
+        raw_send(w, r#"{"t":"lease_req"}"#);
+    }
+    let lease_a = raw_recv(&mut a_r);
+    let lease_b = raw_recv(&mut b_r);
+    assert_eq!((tag(&lease_a), tag(&lease_b)), ("lease", "lease"));
+    let done_for = |lease: &Json| {
+        format!(
+            r#"{{"t":"done","lease":{},"record":{{"type":"job","target":"tcpdump","shard":{},"execs":0,"oracle_execs":0,"divergent":0,"crashes":0,"signatures":[]}},"dur_us":0}}"#,
+            lease.get("lease").and_then(Json::as_u64).unwrap(),
+            lease.get("shard").and_then(Json::as_u64).unwrap(),
+        )
+    };
+
+    // A posts a result for B's lease: A is cut off, not acked.
+    raw_send(&mut a_w, &done_for(&lease_b));
+    match campaign::proto::read_frame(&mut a_r) {
+        Ok(None) => {}
+        Ok(Some(frame)) => panic!("the impostor got `{}` instead of EOF", frame.render()),
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the impostor's connection stayed open"
+        ),
+    }
+
+    // B's own result resolves B's lease; the campaign then drains.
+    raw_send(&mut b_w, &done_for(&lease_b));
+    let mut seen = Vec::new();
+    while !seen.contains(&"shutdown".to_string()) {
+        seen.push(tag(&raw_recv(&mut b_r)).to_string());
+    }
+    raw_send(&mut b_w, r#"{"t":"bye"}"#);
+    drop((b_r, b_w, a_r, a_w));
+
+    let report = campaign_thread.join().unwrap();
+    assert_eq!(report.stats.jobs_done, 1, "B's job counted once");
+    assert_eq!(report.stats.failures, 1, "A's own lease was lost");
+    assert_eq!(counter(&report, "campaign.stale_results"), 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -46,13 +46,17 @@ pcamp_a="$(mktemp)"
 pcamp_b="$(mktemp)"
 pcamp_ra="$(mktemp)"
 pcamp_rb="$(mktemp)"
+tcamp_a="$(mktemp)"
+tcamp_b="$(mktemp)"
+tcamp_ra="$(mktemp)"
+tcamp_rb="$(mktemp)"
 drop_smoke="$(mktemp)"
 progen_a="$(mktemp -d)"
 progen_b="$(mktemp -d)"
 san_a="$(mktemp)"
 san_b="$(mktemp)"
 san_dir="$(mktemp -d)"
-trap 'rm -rf "$lint_a" "$lint_b" "$smoke" "$camp_a" "$camp_b" "$batch_a" "$batch_b" "$pcamp_a" "$pcamp_b" "$pcamp_ra" "$pcamp_rb" "$drop_smoke" "$progen_a" "$progen_b" "$san_a" "$san_b" "$san_dir"' EXIT
+trap 'rm -rf "$lint_a" "$lint_b" "$smoke" "$camp_a" "$camp_b" "$batch_a" "$batch_b" "$pcamp_a" "$pcamp_b" "$pcamp_ra" "$pcamp_rb" "$tcamp_a" "$tcamp_b" "$tcamp_ra" "$tcamp_rb" "$drop_smoke" "$progen_a" "$progen_b" "$san_a" "$san_b" "$san_dir"' EXIT
 
 echo "== smoke campaign with injected panic (must exit 0 with partial results) =="
 ./target/release/compdiff campaign --workers 2 --execs-per-target 120 --shards 2 \
@@ -63,10 +67,10 @@ grep -q "quarantined: tcpdump" "$smoke"
 grep -q "fault tolerance:" "$smoke"
 
 echo "== campaign block-mode byte-determinism (two runs, fixed clock) =="
-# One worker: the telemetry stream is emitted in completion order, which
-# is only deterministic single-threaded. The cmp proves block-compiled
-# execution is byte-reproducible end to end; the grep proves the runs
-# actually took the block path rather than falling back to the interpreter.
+# One worker under a fixed clock (events are re-sorted into canonical
+# order at any worker count). The cmp proves block-compiled execution is
+# byte-reproducible end to end; the grep proves the runs actually took
+# the block path rather than falling back to the interpreter.
 ./target/release/compdiff campaign --workers 1 --execs-per-target 150 --shards 2 \
     --targets readelf,brotli --seed 11 --vm-mode block \
     --metrics-out "$camp_a" --fixed-clock 0 --quiet > /dev/null
@@ -104,6 +108,21 @@ echo "== multi-process campaign byte-determinism (two runs, 2 worker processes) 
 cmp "$pcamp_ra" "$pcamp_rb"
 cmp "$pcamp_a" "$pcamp_b"
 grep -q '"campaign.leases_granted":[1-9]' "$pcamp_a"
+
+echo "== thread campaign byte-determinism (two runs, 2 worker threads, == 2 processes) =="
+# The same campaign over 2 worker *threads*: one coordinator schedules
+# both transports, so the report and metrics stream must match across
+# runs and match the 2-process run above byte for byte.
+./target/release/compdiff campaign --workers 2 --execs-per-target 150 --shards 2 \
+    --targets readelf,brotli --seed 11 \
+    --metrics-out "$tcamp_a" --fixed-clock 0 --quiet > "$tcamp_ra"
+./target/release/compdiff campaign --workers 2 --execs-per-target 150 --shards 2 \
+    --targets readelf,brotli --seed 11 \
+    --metrics-out "$tcamp_b" --fixed-clock 0 --quiet > "$tcamp_rb"
+cmp "$tcamp_ra" "$tcamp_rb"
+cmp "$tcamp_a" "$tcamp_b"
+cmp "$tcamp_ra" "$pcamp_ra"
+cmp "$tcamp_a" "$pcamp_a"
 
 echo "== multi-process campaign dropped-connection smoke (must exit 0 with partial results) =="
 # Every lease grant's connection is severed (drop@conn:any*inf) with
